@@ -17,13 +17,12 @@ from .errors import (
     NotComplexCompletableError,
     NotRealCompletableError,
 )
-from .linalg import smith_normal_form, solve_f2
+from .linalg import solve_f2
 from .segre import (
     Circuit,
-    circuits,
+    ObservedLattice,
     matroid_closure,
-    restricted_matrix,
-    saturation_index_of,
+    observed_lattice,
 )
 from .tensor import (
     PartialTensor,
@@ -45,36 +44,42 @@ def circuit_satisfied(values: dict, circuit: Circuit) -> bool:
 
 
 def violated_circuit(t: PartialTensor) -> Circuit | None:
-    """First violated circuit among the observed indices (enumerative)."""
-    for c in circuits(t.domain, t.sorted_indices()):
-        if not circuit_satisfied(t.entries, c):
-            return c
-    return None
+    """First violated circuit among the observed indices, in order of size.
 
-
-def _lattice_consistent(t: PartialTensor) -> bool:
-    """Membership of a nonzero-entry tensor in the circuit variety.
-
-    Equivalent to satisfying every circuit binomial, but polynomial time:
-    the trailing right-transform columns of the Smith decomposition are a
-    lattice basis of the kernel of A_E, and it suffices that every basis
-    relation evaluates to one.
+    The search stops at the first violated one; see ``iter_circuits``.
     """
-    observed = t.sorted_indices()
-    if len(observed) <= 1:
-        return True
-    a_e = restricted_matrix(t.domain, observed)
-    snf = smith_normal_form(a_e)
-    nrank = len(snf.elementary_divisors)
-    for col in range(nrank, a_e.shape[1]):
-        prod = 1
-        for pos, e in enumerate(observed):
-            exp = int(snf.V[pos, col])
-            if exp:
-                prod *= t.entries[e] ** exp
-        if prod != 1:
-            return False
-    return True
+    circuits = observed_lattice(t.domain, t.sorted_indices()).iter_circuits()
+    return next((c for c in circuits if not circuit_satisfied(t.entries, c)), None)
+
+
+def _core(t: PartialTensor) -> tuple[StripResult, ObservedLattice]:
+    """The zero-stripped core of a zero-consistent t and its lattice."""
+    sr = strip_zero_slices(t)
+    return sr, observed_lattice(sr.tensor.domain, sr.tensor.sorted_indices())
+
+
+def _complex_core(t: PartialTensor) -> tuple[StripResult, ObservedLattice] | None:
+    """``_core(t)`` when t is complex-completable, else None."""
+    if not is_zero_consistent(t):
+        return None
+    sr, lattice = _core(t)
+    return (sr, lattice) if lattice.relations_hold(sr.tensor.entries) else None
+
+
+def _witness(sr: StripResult, lattice: ObservedLattice) -> Circuit | None:
+    """None when the core satisfies its kernel relations, else its first
+    violated circuit labelled on the original grid."""
+    if lattice.relations_hold(sr.tensor.entries):
+        return None
+    bad = violated_circuit(sr.tensor)
+    if bad is None:
+        raise InternalConsistencyError(
+            "kernel lattice relation fails but every circuit is satisfied"
+        )
+    return Circuit(
+        support=tuple(sr.to_original_index(i) for i in bad.support),
+        vector=bad.vector,
+    )
 
 
 def is_complex_completable(t: PartialTensor) -> tuple[bool, Circuit | None]:
@@ -84,24 +89,14 @@ def is_complex_completable(t: PartialTensor) -> tuple[bool, Circuit | None]:
     binomial equation of every circuit among its observed indices.
     Returns (True, None) or (False, witness); the witness is a violated
     circuit (labels refer to the original index grid) when the failure is
-    algebraic rather than a zero-consistency defect.  Witness search is
-    enumerative, so it is subject to the circuit column cap; the decision
-    itself is not.
+    algebraic rather than a zero-consistency defect.  The decision is not
+    capped; the witness search stops at the first violated circuit and
+    gives up (TooLargeError) past ``segre.CIRCUIT_SEARCH_CAP`` subsets.
     """
     if not is_zero_consistent(t):
         return False, None
-    sr = strip_zero_slices(t)
-    if _lattice_consistent(sr.tensor):
-        return True, None
-    bad = violated_circuit(sr.tensor)
-    if bad is None:
-        raise InternalConsistencyError(
-            "kernel lattice relation fails but every circuit is satisfied"
-        )
-    return False, Circuit(
-        support=tuple(sr.to_original_index(i) for i in bad.support),
-        vector=bad.vector,
-    )
+    witness = _witness(*_core(t))
+    return witness is None, witness
 
 
 def _sign_bits(t: PartialTensor) -> list[int]:
@@ -116,13 +111,33 @@ def sign_system_matrix(t: PartialTensor):
     """
     import numpy as np
 
-    a_e = restricted_matrix(t.domain, t.sorted_indices())
+    a_e = observed_lattice(t.domain, t.sorted_indices()).matrix
     nparams, nobs = a_e.shape
     m2 = np.zeros((nobs, nparams), dtype=np.uint8)
     for r in range(nobs):
         for c in range(nparams):
             m2[r, c] = int(a_e[c, r]) & 1
     return m2
+
+
+def _real_core(core: PartialTensor, lattice: ObservedLattice) -> bool:
+    """Real completability of a complex-completable zero-free core."""
+    if not core.entries:
+        return True
+    result = solve_f2(sign_system_matrix(core), _sign_bits(core)) is not None
+    if lattice.index % 2 == 1 and not result:
+        raise InternalConsistencyError(
+            "odd saturation index must imply real completability"
+        )
+    return result
+
+
+def _unique(lattice: ObservedLattice, field: str) -> bool:
+    """All core entries finitely determined, and the index 1 (complex) or
+    odd (real)."""
+    if len(lattice.closure) != lattice.domain.size:
+        return False
+    return lattice.index == 1 if field == "complex" else lattice.index % 2 == 1
 
 
 def is_real_completable(t: PartialTensor) -> bool:
@@ -132,20 +147,10 @@ def is_real_completable(t: PartialTensor) -> bool:
     solve the entry-sign system over GF(2).  Raises if t is not
     complex-completable.
     """
-    ok, _ = is_complex_completable(t)
-    if not ok:
+    core = _complex_core(t)
+    if core is None:
         raise NotComplexCompletableError("tensor is not complex-completable")
-    sr = strip_zero_slices(t)
-    core = sr.tensor
-    if not core.entries:
-        return True
-    result = solve_f2(sign_system_matrix(core), _sign_bits(core)) is not None
-    index = saturation_index_of(core.domain, core.sorted_indices())
-    if index % 2 == 1 and not result:
-        raise InternalConsistencyError(
-            "odd saturation index must imply real completability"
-        )
-    return result
+    return _real_core(core[0].tensor, core[1])
 
 
 def is_uniquely_completable(t: PartialTensor, field: str) -> bool:
@@ -158,19 +163,13 @@ def is_uniquely_completable(t: PartialTensor, field: str) -> bool:
     """
     if field not in ("complex", "real"):
         raise ValueError("field must be 'complex' or 'real'")
-    ok, _ = is_complex_completable(t)
-    if not ok:
+    core = _complex_core(t)
+    if core is None:
         raise NotComplexCompletableError("tensor is not complex-completable")
-    if field == "real" and not is_real_completable(t):
+    sr, lattice = core
+    if field == "real" and not _real_core(sr.tensor, lattice):
         raise NotRealCompletableError("tensor is not real-completable")
-    sr = strip_zero_slices(t)
-    core = sr.tensor
-    observed = core.sorted_indices()
-    closure = matroid_closure(core.domain, observed)
-    if len(closure) != core.domain.size:
-        return False
-    index = saturation_index_of(core.domain, observed)
-    return index == 1 if field == "complex" else index % 2 == 1
+    return _unique(lattice, field)
 
 
 @dataclass(frozen=True)
@@ -198,29 +197,25 @@ def analyze(t: PartialTensor) -> CompletabilityReport:
     if not is_zero_consistent(t):
         return CompletabilityReport(zero_consistent=False, complex_completable=False)
     closure = matroid_closure(t.domain, t.sorted_indices())
-    sr: StripResult = strip_zero_slices(t)
-    core = sr.tensor
-    index = saturation_index_of(core.domain, core.sorted_indices())
-    ok, witness = is_complex_completable(t)
-    if not ok:
+    sr, lattice = _core(t)
+    witness = _witness(sr, lattice)
+    if witness is not None:
         return CompletabilityReport(
             zero_consistent=True,
             complex_completable=False,
             finitely_completable_entries=closure,
             uniquely_completable_complex=False,
             uniquely_completable_real=False,
-            saturation_index=index,
+            saturation_index=lattice.index,
             failing_circuit=witness,
         )
-    real = is_real_completable(t)
-    unique_c = is_uniquely_completable(t, "complex")
-    unique_r = is_uniquely_completable(t, "real") if real else False
+    real = _real_core(sr.tensor, lattice)
     return CompletabilityReport(
         zero_consistent=True,
         complex_completable=True,
         real_completable=real,
         finitely_completable_entries=closure,
-        uniquely_completable_complex=unique_c,
-        uniquely_completable_real=unique_r,
-        saturation_index=index,
+        uniquely_completable_complex=_unique(lattice, "complex"),
+        uniquely_completable_real=real and _unique(lattice, "real"),
+        saturation_index=lattice.index,
     )

@@ -16,27 +16,16 @@ from math import lcm
 
 import numpy as np
 
-from .completability import (
-    is_complex_completable,
-    is_real_completable,
-    sign_system_matrix,
-)
+from .completability import _complex_core, _real_core, sign_system_matrix
 from .errors import (
     CosetTooLargeError,
-    InternalConsistencyError,
     NotCompletableError,
     NotInClosureError,
     NotRealCompletableError,
 )
-from .linalg import smith_normal_form, solve_f2, solve_rational
-from .segre import (
-    column_for_index,
-    matroid_closure,
-    parameter_index,
-    restricted_matrix,
-    saturation_index_of,
-)
-from .tensor import PartialTensor, strip_zero_slices
+from .linalg import solve_f2
+from .segre import ObservedLattice, column_for_index, parameter_index
+from .tensor import PartialTensor, exchange_minors_vanish
 
 COSET_DIMENSION_CAP = 20
 
@@ -229,41 +218,16 @@ class Completion:
 def witness_is_rank_one(completion: Completion, dims) -> bool:
     """Exact all-flattenings 2x2-minor test on a completion witness.
 
-    Single-axis exchanges generate every flattening minor.  Rational
-    witnesses take a plain Fraction route; irrational ones are compared
-    symbolically, still exactly.
+    Rational witnesses take a plain Fraction route; irrational ones are
+    compared symbolically, still exactly.
     """
-    idxs = sorted(completion.witness)
-    n = len(dims)
     fr = completion.witness_as_fractions()
     if fr is not None:
-        for a in range(len(idxs)):
-            u = idxs[a]
-            for b in range(a + 1, len(idxs)):
-                v = idxs[b]
-                for j in range(n):
-                    if u[j] == v[j]:
-                        continue
-                    u2 = u[:j] + (v[j],) + u[j + 1 :]
-                    v2 = v[:j] + (u[j],) + v[j + 1 :]
-                    if fr[u] * fr[v] != fr[u2] * fr[v2]:
-                        return False
-        return True
-    w = completion.witness
-    for a in range(len(idxs)):
-        u = idxs[a]
-        for b in range(a + 1, len(idxs)):
-            v = idxs[b]
-            for j in range(n):
-                if u[j] == v[j]:
-                    continue
-                u2 = u[:j] + (v[j],) + u[j + 1 :]
-                v2 = v[:j] + (u[j],) + v[j + 1 :]
-                if not _pair_product_equal(
-                    w[u], w[v], w[u2], w[v2], completion.base
-                ):
-                    return False
-    return True
+        return exchange_minors_vanish(fr, lambda a, b, c, d: a * b == c * d)
+    return exchange_minors_vanish(
+        completion.witness,
+        lambda a, b, c, d: _pair_product_equal(a, b, c, d, completion.base),
+    )
 
 
 def _require_stripped(t: PartialTensor) -> None:
@@ -307,17 +271,14 @@ def complete_entry(t: PartialTensor, idx) -> list[SignedMonomial]:
     idx = tuple(idx)
     if idx not in t.domain:
         raise ValueError(f"index {idx} outside domain {t.domain.dims}")
-    ok, _ = is_complex_completable(t)
-    if not ok:
+    core = _complex_core(t)
+    if core is None:
         raise NotCompletableError("tensor is not complex-completable")
-    observed = t.sorted_indices()
     if idx in t.entries:
         return [SignedMonomial.observed(idx, t.entries[idx])]
-    a_e = restricted_matrix(t.domain, observed)
-    lam = solve_rational(a_e, column_for_index(t.domain, idx))
-    if lam is None:
+    exps = core[1].exponents(idx)
+    if exps is None:
         raise NotInClosureError(f"entry {idx} is not finitely determined")
-    exps = {e: Fraction(x) for e, x in zip(observed, lam)}
     m = 1
     for q in exps.values():
         m = lcm(m, q.denominator)
@@ -334,25 +295,14 @@ def complete_entry(t: PartialTensor, idx) -> list[SignedMonomial]:
     return [c for c in cands if (0 if c.sign > 0 else 1) in achievable]
 
 
-def _magnitude_exponents(core: PartialTensor):
+def _magnitude_exponents(lattice: ObservedLattice):
     """Per-parameter exponent dicts q with prod |T_e|**q solving the
     magnitude system exactly; free multiplicative coordinates are 1."""
-    params = parameter_index(core.domain)
-    observed = core.sorted_indices()
-    a_e = restricted_matrix(core.domain, observed)
-    m = a_e.T  # rows = entries, cols = parameters
-    snf = smith_normal_form(m)
+    params = parameter_index(lattice.domain)
+    observed = lattice.observed
+    snf = lattice.smith
     diag = snf.diagonal
     nrank = sum(1 for d in diag if d != 0)
-    # Consistency rows must evaluate to 1; guaranteed by circuit membership.
-    for i in range(nrank, m.shape[0]):
-        prod = Fraction(1)
-        for e_pos, e in enumerate(observed):
-            prod *= abs(core.entries[e]) ** int(snf.U[i, e_pos])
-        if prod != 1:
-            raise InternalConsistencyError(
-                "magnitude system inconsistent despite circuit membership"
-            )
     out = {}
     for k, p in enumerate(params):
         exps: dict = {}
@@ -377,17 +327,13 @@ def enumerate_real_completions(t: PartialTensor) -> list[Completion]:
     a witness full tensor over the original grid (zero slices refilled
     with zeros, free multiplicative coordinates fixed to 1).
     """
-    ok, _ = is_complex_completable(t)
-    if not (ok and is_real_completable(t)):
+    found = _complex_core(t)
+    if found is None or not _real_core(found[0].tensor, found[1]):
         raise NotRealCompletableError("tensor is not real-completable")
-    sr = strip_zero_slices(t)
+    sr, lattice = found
     core = sr.tensor
     params = parameter_index(core.domain)
     observed = core.sorted_indices()
-    closure = matroid_closure(core.domain, observed)
-    unknowns = sorted(closure - set(observed))
-
-    a_e = restricted_matrix(core.domain, observed)
     m2 = sign_system_matrix(core)
     bits = [1 if core.entries[i] < 0 else 0 for i in observed]
     sol = solve_f2(m2, bits)
@@ -398,13 +344,10 @@ def enumerate_real_completions(t: PartialTensor) -> list[Completion]:
             f"sign coset dimension {len(kernel)} exceeds cap {COSET_DIMENSION_CAP}"
         )
 
-    lam = {}
-    for i in unknowns:
-        x = solve_rational(a_e, column_for_index(core.domain, i))
-        assert x is not None
-        lam[i] = {e: Fraction(v) for e, v in zip(observed, x)}
-
-    mag = _magnitude_exponents(core)
+    closure = lattice.closure
+    unknowns = sorted(closure - set(observed))
+    lam = {i: lattice.exponents(i) for i in unknowns}
+    mag = _magnitude_exponents(lattice)
     base = {sr.to_original_index(e): core.entries[e] for e in observed}
     offs = {}
     pos = 0
@@ -460,8 +403,7 @@ def enumerate_real_completions(t: PartialTensor) -> list[Completion]:
 def count_complex_completions(t: PartialTensor) -> int:
     """Number of complex parameter preimages: the product of the elementary
     divisors of the observed incidence columns (after zero stripping)."""
-    ok, _ = is_complex_completable(t)
-    if not ok:
+    core = _complex_core(t)
+    if core is None:
         raise NotCompletableError("tensor is not complex-completable")
-    sr = strip_zero_slices(t)
-    return saturation_index_of(sr.tensor.domain, sr.tensor.sorted_indices())
+    return core[1].index

@@ -139,28 +139,31 @@ def rank_one_tensor(factors) -> PartialTensor:
     return PartialTensor(domain, entries)
 
 
-def is_rank_one(t: PartialTensor) -> bool:
-    """Exact test that a fully observed tensor has rank at most one.
+def exchange_minors_vanish(values: dict, equal) -> bool:
+    """Whether every 2x2 minor of every flattening of a full tensor vanishes.
 
-    Checks that every 2x2 minor of every flattening vanishes; single-axis
-    exchanges generate all of them.
+    Single-axis exchanges generate all of them: for indices u, v and an
+    axis j where they differ, swapping coordinate j gives u', v', and
+    ``equal(T[u], T[v], T[u'], T[v'])`` must test ``T[u]*T[v] == T[u']*T[v']``.
     """
-    if len(t) != t.domain.size:
-        raise ValueError("rank test needs a fully observed tensor")
-    idxs = list(t.entries)
-    n = t.domain.n_axes
-    for a in range(len(idxs)):
-        u = idxs[a]
-        for b in range(a + 1, len(idxs)):
-            v = idxs[b]
-            for j in range(n):
+    idxs = list(values)
+    for a, u in enumerate(idxs):
+        for v in idxs[a + 1 :]:
+            for j in range(len(u)):
                 if u[j] == v[j]:
                     continue
                 u2 = u[:j] + (v[j],) + u[j + 1 :]
                 v2 = v[:j] + (u[j],) + v[j + 1 :]
-                if t.entries[u] * t.entries[v] != t.entries[u2] * t.entries[v2]:
+                if not equal(values[u], values[v], values[u2], values[v2]):
                     return False
     return True
+
+
+def is_rank_one(t: PartialTensor) -> bool:
+    """Exact test that a fully observed tensor has rank at most one."""
+    if len(t) != t.domain.size:
+        raise ValueError("rank test needs a fully observed tensor")
+    return exchange_minors_vanish(t.entries, lambda a, b, c, d: a * b == c * d)
 
 
 def is_zero_consistent(t: PartialTensor) -> bool:

@@ -12,8 +12,12 @@ from rankone.completability import (
     is_real_completable,
     is_uniquely_completable,
 )
-from rankone.errors import NotComplexCompletableError, NotRealCompletableError
-from rankone.segre import saturation_index_of
+from rankone.errors import (
+    NotComplexCompletableError,
+    NotRealCompletableError,
+    TooLargeError,
+)
+from rankone.segre import observed_lattice, saturation_index_of
 from rankone.tensor import IndexDomain, PartialTensor, rank_one_tensor
 
 from .oracles import brute_force_real_completable, rand_fraction
@@ -282,3 +286,84 @@ def test_odd_index_rule_sampled_4_axes():
         if index % 2 == 1:
             odd_seen += 1
     assert odd_seen
+
+
+def doubled_corner_tensor():
+    """The first 25 cells of a 3x3x3 rank-one tensor, (1,1,1) doubled: more
+    observed entries than the full circuit listing accepts."""
+    factors = [[1, 2, 3], [1, 5, 7], [2, 3, 11]]
+    full = rank_one_tensor(factors)
+    entries = {i: full.entries[i] for i in list(full.domain.tuples())[:25]}
+    entries[(1, 1, 1)] *= 2
+    return PartialTensor.from_entries((3, 3, 3), entries)
+
+
+def path_tensor():
+    """A 60x60 rank-one matrix observed on the path (i,i), (i,i+1), i <= 50."""
+    entries = {}
+    for i in range(1, 51):
+        entries[(i, i)] = i * i
+        entries[(i, i + 1)] = i * (i + 1)
+    return PartialTensor.from_entries((60, 60), entries)
+
+
+def long_cycle_tensor():
+    """A 13x13 rank-one matrix observed on the even cycle (i,i), (i,i+1),
+    (13,1), with one entry scaled: the whole cycle is its only circuit."""
+    cells = [(i, i) for i in range(1, 14)]
+    cells += [(i, i + 1) for i in range(1, 13)] + [(13, 1)]
+    entries = {(i, j): i * j for i, j in cells}
+    entries[(1, 1)] *= 2
+    return PartialTensor.from_entries((13, 13), entries)
+
+
+def test_witness_beyond_circuit_listing_cap():
+    ok, witness = is_complex_completable(doubled_corner_tensor())
+    assert not ok
+    assert witness.support == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2))
+    assert witness.vector == (1, -1, -1, 1)
+
+
+def test_witness_search_gives_up_on_a_long_circuit():
+    t = long_cycle_tensor()
+    assert saturation_index_of(t.domain, t.sorted_indices()) == 1
+    with pytest.raises(TooLargeError):
+        is_complex_completable(t)
+    with pytest.raises(TooLargeError):
+        analyze(t)
+
+
+def test_long_path_decided_without_size_cap():
+    rep = analyze(path_tensor())
+    assert rep.complex_completable and rep.real_completable
+    assert rep.finitely_completable_entries == frozenset(
+        (i, j) for i in range(1, 51) for j in range(1, 52)
+    )
+    assert rep.saturation_index == 1
+    assert not rep.uniquely_completable_complex
+
+
+def test_analyze_runs_one_snf_and_one_strip(monkeypatch):
+    import rankone.completability
+    import rankone.segre
+
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(rankone.segre, "smith_normal_form")
+    count(rankone.completability, "strip_zero_slices")
+    observed_lattice.cache_clear()
+    t = rank_one_tensor([[1, 2, 3], [2, 5], [3, 7]]).restrict(
+        [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 2, 2)]
+    )
+    rep = analyze(t)
+    assert rep.complex_completable and rep.real_completable
+    assert sorted(calls) == ["smith_normal_form", "strip_zero_slices"]

@@ -22,7 +22,7 @@ from rankone.errors import (
 from rankone.segre import matroid_closure
 from rankone.tensor import IndexDomain, PartialTensor, rank_one_tensor
 
-from .oracles import rand_fraction
+from .oracles import incidence_rows, rand_fraction, rref
 
 FIELD_DEP_POSITIONS = [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)]
 
@@ -348,3 +348,29 @@ def test_unique_index_one_recovers_exactly(seed):
     comps = enumerate_real_completions(t)
     assert len(comps) == 1
     assert comps[0].witness_as_fractions() == dict(full.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_closure_and_exponents_match_naive_rref(seed):
+    # an entry is determined iff its column keeps the rank of [A_E | b], and
+    # its exponents are the pivot values of the naive elimination
+    rng = random.Random(seed)
+    dims = tuple(rng.choice([2, 3]) for _ in range(rng.randint(2, 3)))
+    factors = [[rand_fraction(rng, lo=1, nonzero=True) for _ in range(d)] for d in dims]
+    full = rank_one_tensor(factors)
+    grid = list(full.domain.tuples())
+    t = full.restrict(rng.sample(grid, rng.randint(1, len(grid))))
+    observed = t.sorted_indices()
+    rows = incidence_rows(dims, observed)
+    closure = matroid_closure(t.domain, observed)
+    for idx in grid:
+        b = incidence_rows(dims, [idx])
+        a, pivots = rref([row + col for row, col in zip(rows, b)])
+        assert (idx in closure) == (len(observed) not in pivots)
+        if idx in closure and idx not in t.entries:
+            expected = {observed[c]: a[r][-1] for r, c in enumerate(pivots)}
+            monos = complete_entry(t, idx)
+            assert monos
+            for mono in monos:
+                assert mono.exponents == {e: q for e, q in expected.items() if q}

@@ -12,6 +12,12 @@ from rankone.io import (
 )
 from rankone.tensor import PartialTensor
 
+from .test_completability import (
+    doubled_corner_tensor,
+    long_cycle_tensor,
+    path_tensor,
+)
+
 
 def doc_field_dependence():
     return {
@@ -218,3 +224,32 @@ def test_cli_antidiag222(capsys):
     code = main(["antidiag222", "--point", "1/2,1/2,1/2"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["membership"] is False
+
+
+def test_cli_check_witness_beyond_circuit_listing_cap(tmp_path, capsys):
+    path = write_doc(tmp_path, tensor_to_document(doubled_corner_tensor()))
+    code = main(["check", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["failing_circuit"] == {
+        "support": [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 2]],
+        "vector": [1, -1, -1, 1],
+    }
+
+
+def test_cli_check_long_circuit_is_too_large(tmp_path, capsys):
+    path = write_doc(tmp_path, tensor_to_document(long_cycle_tensor()))
+    code = main(["check", path])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"]["code"] == "too-large"
+
+
+def test_cli_check_long_path(tmp_path, capsys):
+    path = write_doc(tmp_path, tensor_to_document(path_tensor()))
+    code = main(["check", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["complex_completable"] is True
+    assert len(out["finitely_completable_entries"]) == 50 * 51
+    assert out["saturation_index"] == 1

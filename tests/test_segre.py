@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from rankone.errors import TooLargeError
 from rankone.linalg import int_matrix, rank
 from rankone.segre import (
+    LATTICE_CACHE_SIZE,
     circuits,
     circuits_of_matrix,
     matroid_closure,
+    observed_lattice,
     restricted_matrix,
     saturation_index,
     saturation_index_of,
@@ -154,3 +157,58 @@ def test_saturation_index_cached_wrapper():
     e = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2))
     assert saturation_index_of(dom, e) == 2
     assert saturation_index_of(dom, tuple(reversed(e))) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_matrix_closure_is_bipartite_components(seed):
+    # n = 2: a cell is determined iff its row and column lie in one connected
+    # component of the bipartite observation graph, and the lattice is
+    # saturated (Kiraly-Theran-Tomioka)
+    rng = random.Random(seed)
+    dims = (rng.randint(1, 6), rng.randint(1, 6))
+    grid = list(IndexDomain(dims).tuples())
+    e = rng.sample(grid, rng.randint(0, len(grid)))
+    graph = nx.Graph()
+    graph.add_nodes_from([("r", i) for i in range(1, dims[0] + 1)])
+    graph.add_nodes_from([("c", j) for j in range(1, dims[1] + 1)])
+    graph.add_edges_from((("r", i), ("c", j)) for i, j in e)
+    component = {}
+    for k, nodes in enumerate(nx.connected_components(graph)):
+        component.update(dict.fromkeys(nodes, k))
+    expected = frozenset(
+        (i, j) for i, j in grid if component[("r", i)] == component[("c", j)]
+    )
+    assert matroid_closure(IndexDomain(dims), e) == expected
+    assert saturation_index_of(IndexDomain(dims), e) == 1
+
+
+def test_lazy_circuits_follow_the_full_listing():
+    dom = IndexDomain((2, 3, 2))
+    e = sorted(random.Random(5).sample(list(dom.tuples()), 9))
+    listed = [
+        (tuple(e[c] for c in combo), vec)
+        for combo, vec in circuits_of_matrix(restricted_matrix(dom, e))
+    ]
+    observed_lattice.cache_clear()
+    lattice = observed_lattice(dom, tuple(e))
+    first = next(lattice.iter_circuits())
+    assert (first.support, first.vector) == listed[0]
+    # a search stopped by an exception leaves its finds usable
+    search = lattice.iter_circuits()
+    next(search)
+    with pytest.raises(KeyboardInterrupt):
+        search.throw(KeyboardInterrupt)
+    # a fresh read resumes after the earlier finds and repeats nothing
+    assert [(c.support, c.vector) for c in lattice.iter_circuits()] == listed
+    assert [(c.support, c.vector) for c in circuits(dom, e)] == listed
+    assert [(c.support, c.vector) for c in circuits(dom, e)] == listed
+
+
+def test_lattice_cache_is_bounded():
+    assert observed_lattice.cache_info().maxsize == LATTICE_CACHE_SIZE <= 64
+    dom = IndexDomain((2, 2))
+    for k in range(LATTICE_CACHE_SIZE + 3):
+        saturation_index_of(IndexDomain((2, 2 + k)), [(1, 1)])
+    assert observed_lattice.cache_info().currsize <= LATTICE_CACHE_SIZE
+    assert observed_lattice(dom, ((1, 1),)) is observed_lattice(dom, ((1, 1),))
